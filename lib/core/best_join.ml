@@ -22,7 +22,9 @@ let pick_solver algorithm scoring p =
 
 let solve ?(algorithm = Fast) ?(dedup = false) scoring p =
   let solver = pick_solver algorithm scoring p in
-  if dedup then fst (Dedup.best_valid solver p) else solver p
+  if not dedup then solver p
+  else if Feasibility.problem p then fst (Dedup.best_valid solver p)
+  else None
 
 let solve_with_stats ?(algorithm = Fast) scoring p =
   Dedup.best_valid (pick_solver algorithm scoring p) p

@@ -21,7 +21,9 @@ val solve :
   Naive.result option
 (** Overall best matchset (Definition 2), or best *valid* matchset when
     [dedup] is true (default: false). [None] when a list is empty or,
-    with [dedup], when no valid matchset exists. *)
+    with [dedup], when no valid matchset exists. With [dedup], a problem
+    that {!Feasibility.problem} rejects is answered [None] before any
+    solver runs. *)
 
 val solve_with_stats :
   ?algorithm:algorithm ->

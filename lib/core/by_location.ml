@@ -170,11 +170,12 @@ let max_ (x : Scoring.max) (p : Match_list.problem) =
         let total = ref 0. in
         let feasible = ref true in
         for j = 0 to n - 1 do
-          match Envelope.query cursors.(j) l with
-          | None -> feasible := false
-          | Some pick ->
-              matchset.(j) <- pick.Envelope.chosen;
-              total := !total +. pick.Envelope.value
+          let c = cursors.(j) in
+          if Envelope.query c l then begin
+            matchset.(j) <- Envelope.chosen c;
+            total := !total +. Envelope.value c
+          end
+          else feasible := false
         done;
         if !feasible then
           entries :=

@@ -25,41 +25,64 @@ let dominating_list c (lst : Match_list.t) =
     lst;
   Pj_util.Vec.to_array stack
 
+(* The last pick lives in the cursor itself, so a query allocates
+   nothing: [chosen], [succeeds] and [value] are overwritten by every
+   successful [query]. *)
 type cursor = {
   contribution : contribution;
   doms : Match0.t array;
   mutable next : int;  (* index of the first dominating match with loc > last query *)
+  mutable chosen : Match0.t;
+  mutable succeeds : bool;
+  mutable value : float;
 }
 
-let cursor c doms = { contribution = c; doms; next = 0 }
+let no_match = Match0.make ~loc:0 ~score:0. ()
 
-type pick = {
-  chosen : Match0.t;
-  succeeds : bool;
-  value : float;
-}
+let cursor c doms =
+  {
+    contribution = c;
+    doms;
+    next = 0;
+    chosen = no_match;
+    succeeds = false;
+    value = 0.;
+  }
+
+let pick cur m ~succeeds v =
+  cur.chosen <- m;
+  cur.succeeds <- succeeds;
+  cur.value <- v
 
 let query cur l =
   let n = Array.length cur.doms in
-  if n = 0 then None
+  if n = 0 then false
   else begin
     while cur.next < n && cur.doms.(cur.next).Match0.loc <= l do
       cur.next <- cur.next + 1
     done;
-    let before = if cur.next > 0 then Some cur.doms.(cur.next - 1) else None in
-    let after = if cur.next < n then Some cur.doms.(cur.next) else None in
-    match (before, after) with
-    | None, None -> None
-    | Some m, None ->
-        Some { chosen = m; succeeds = false; value = cur.contribution m l }
-    | None, Some m ->
-        Some { chosen = m; succeeds = true; value = cur.contribution m l }
-    | Some m1, Some m2 ->
-        (* Prefer the succeeding match on ties (footnote 3). *)
-        let v1 = cur.contribution m1 l and v2 = cur.contribution m2 l in
-        if v2 >= v1 then Some { chosen = m2; succeeds = true; value = v2 }
-        else Some { chosen = m1; succeeds = false; value = v1 }
+    let i = cur.next in
+    if i = n then begin
+      let m = cur.doms.(n - 1) in
+      pick cur m ~succeeds:false (cur.contribution m l)
+    end
+    else if i = 0 then begin
+      let m = cur.doms.(0) in
+      pick cur m ~succeeds:true (cur.contribution m l)
+    end
+    else begin
+      (* Prefer the succeeding match on ties (footnote 3). *)
+      let m1 = cur.doms.(i - 1) and m2 = cur.doms.(i) in
+      let v1 = cur.contribution m1 l and v2 = cur.contribution m2 l in
+      if v2 >= v1 then pick cur m2 ~succeeds:true v2
+      else pick cur m1 ~succeeds:false v1
+    end;
+    true
   end
+
+let chosen cur = cur.chosen
+let succeeds cur = cur.succeeds
+let value cur = cur.value
 
 let pointwise_max c (lst : Match_list.t) l =
   Array.fold_left (fun acc m -> Float.max acc (c m l)) neg_infinity lst

@@ -29,21 +29,25 @@ type cursor
 val cursor : contribution -> Match0.t array -> cursor
 (** Build a cursor over a precomputed dominating list. *)
 
-type pick = {
-  chosen : Match0.t;
-  succeeds : bool;
-      (** true when the chosen dominating match is located strictly after
-          the query location — the tie-breaking direction Algorithm 2
-          must favor (footnote 3). *)
-  value : float;  (** the envelope value [S_j (l)] *)
-}
+val query : cursor -> int -> bool
+(** [query cur l]: find a dominating match at [l] and make it the
+    cursor's current pick, read back with {!chosen}, {!succeeds} and
+    {!value}. Locations passed to successive queries on the same cursor
+    must be non-decreasing. [false] iff the dominating list is empty
+    (the pick is then unchanged). When the match strictly after [l]
+    ties with the one at-or-before [l], the later one is chosen, as the
+    correctness of Algorithm 2 requires. Allocates nothing. *)
 
-val query : cursor -> int -> pick option
-(** [query cur l]: a dominating match at [l]. Locations passed to
-    successive queries on the same cursor must be non-decreasing.
-    [None] iff the dominating list is empty. When the match strictly
-    after [l] ties with the one at-or-before [l], the later one is
-    chosen, as the correctness of Algorithm 2 requires. *)
+val chosen : cursor -> Match0.t
+(** The dominating match of the last successful {!query}. *)
+
+val succeeds : cursor -> bool
+(** True when the last pick is located strictly after the query
+    location — the tie-breaking direction Algorithm 2 must favor
+    (footnote 3). *)
+
+val value : cursor -> float
+(** The envelope value [S_j (l)] of the last pick. *)
 
 val pointwise_max : contribution -> Match_list.t -> int -> float
 (** Brute-force [S_j (l)] by scanning the whole list — the definitional

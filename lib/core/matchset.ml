@@ -10,13 +10,30 @@ let max_loc (m : t) =
 
 let window m = max_loc m - min_loc m
 
+(* The k-th greatest location, k = floor((n+1)/2), by counting rather
+   than sorting: location x holds rank k iff fewer than k locations
+   exceed it and at least k reach it. O(n^2) over the n query terms,
+   and no allocation — it runs once per scored candidate location. *)
 let median_loc (m : t) =
   let n = Array.length m in
   assert (n > 0);
-  let locs = Array.map (fun x -> x.Match0.loc) m in
-  (* Rank by value, greatest first; pick the floor((n+1)/2)-th. *)
-  Array.sort (fun a b -> compare b a) locs;
-  locs.(((n + 1) / 2) - 1)
+  let k = (n + 1) / 2 in
+  let result = ref m.(0).Match0.loc and found = ref false and i = ref 0 in
+  while not !found do
+    let x = m.(!i).Match0.loc in
+    let above = ref 0 and reach = ref 0 in
+    for j = 0 to n - 1 do
+      let y = m.(j).Match0.loc in
+      if y > x then incr above;
+      if y >= x then incr reach
+    done;
+    if !above < k && k <= !reach then begin
+      result := x;
+      found := true
+    end;
+    incr i
+  done;
+  !result
 
 let is_valid (m : t) =
   let n = Array.length m in

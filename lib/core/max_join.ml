@@ -24,11 +24,12 @@ let best (x : Scoring.max) (p : Match_list.problem) =
       let total = ref 0. in
       let feasible = ref true in
       for j = 0 to n - 1 do
-        match Envelope.query cursors.(j) l with
-        | None -> feasible := false
-        | Some pick ->
-            candidate.(j) <- pick.Envelope.chosen;
-            total := !total +. pick.Envelope.value
+        let c = cursors.(j) in
+        if Envelope.query c l then begin
+          candidate.(j) <- Envelope.chosen c;
+          total := !total +. Envelope.value c
+        end
+        else feasible := false
       done;
       if !feasible then begin
         let s = x.Scoring.max_f !total in
@@ -63,11 +64,11 @@ let best_anchored ~anchor_term (x : Scoring.max) (p : Match_list.problem) =
         let total = ref (contribution x ~term:anchor_term m l) in
         for j = 0 to n - 1 do
           if j <> anchor_term then begin
-            match Envelope.query cursors.(j) l with
-            | None -> assert false (* lists are non-empty *)
-            | Some pick ->
-                candidate.(j) <- pick.Envelope.chosen;
-                total := !total +. pick.Envelope.value
+            let c = cursors.(j) in
+            (* Lists are non-empty, so every query finds a pick. *)
+            if not (Envelope.query c l) then assert false;
+            candidate.(j) <- Envelope.chosen c;
+            total := !total +. Envelope.value c
           end
         done;
         let s = x.Scoring.max_f !total in

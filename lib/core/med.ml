@@ -44,9 +44,10 @@ let best (d : Scoring.med) (p : Match_list.problem) =
       if l <> !last_location then begin
         last_location := l;
         for j = 0 to n - 1 do
-          match Envelope.query cursors.(j) l with
-          | None -> assert false (* lists are non-empty *)
-          | Some pick -> candidate.(j) <- pick.Envelope.chosen
+          let c = cursors.(j) in
+          (* Lists are non-empty, so every query finds a pick. *)
+          if not (Envelope.query c l) then assert false;
+          candidate.(j) <- Envelope.chosen c
         done;
         let s = Scoring.score_med d candidate in
         match !best with

@@ -39,9 +39,9 @@ let med_contribution d ~term m ~at =
 let score_med d (m : Matchset.t) =
   let median = Matchset.median_loc m in
   let sum = ref 0. in
-  Array.iteri
-    (fun j x -> sum := !sum +. med_contribution d ~term:j x ~at:median)
-    m;
+  for j = 0 to Array.length m - 1 do
+    sum := !sum +. med_contribution d ~term:j m.(j) ~at:median
+  done;
   d.med_f !sum
 
 let med_exponential ~alpha =

@@ -7,27 +7,44 @@ type chain =
   | Nil
   | Cons of int * Match0.t * chain  (* term, match, rest *)
 
-type state = {
-  mutable live : bool;       (* is there a P-matchset yet? *)
-  mutable g_sum : float;     (* sum of g_j over the members *)
-  mutable l_min : int;       (* smallest member location *)
-  mutable members : chain;
+(* One state per partial matchset P, as parallel arrays indexed by P:
+   the float array keeps [g_sum] unboxed, so an update stores a float
+   instead of allocating one. *)
+type states = {
+  live : bool array;  (* is there a P-matchset yet? *)
+  g_sum : float array;  (* sum of g_j over the members *)
+  l_min : int array;  (* smallest member location *)
+  members : chain array;
 }
 
+let make_states size =
+  {
+    live = Array.make size false;
+    g_sum = Array.make size 0.;
+    l_min = Array.make size 0;
+    members = Array.make size Nil;
+  }
+
+let[@inline] set st s g lmin members =
+  st.live.(s) <- true;
+  st.g_sum.(s) <- g;
+  st.l_min.(s) <- lmin;
+  st.members.(s) <- members
+
+(* The matchset of a full chain, which holds every term exactly once. *)
 let rebuild n chain =
-  let a = Array.make n None in
-  let rec walk = function
-    | Nil -> ()
-    | Cons (j, m, rest) ->
-        a.(j) <- Some m;
-        walk rest
-  in
-  walk chain;
-  Array.map
-    (function
-      | Some m -> m
-      | None -> assert false)
-    a
+  match chain with
+  | Nil -> assert false
+  | Cons (_, first, _) ->
+      let a = Array.make n first in
+      let rec walk filled = function
+        | Nil -> filled
+        | Cons (j, m, rest) ->
+            a.(j) <- m;
+            walk (filled + 1) rest
+      in
+      if walk 0 chain <> n then assert false;
+      a
 
 let best (w : Scoring.win) (p : Match_list.problem) =
   Match_list.validate p;
@@ -35,10 +52,10 @@ let best (w : Scoring.win) (p : Match_list.problem) =
   else begin
     let n = Array.length p in
     let full = Pj_util.Subset.full n in
-    let states =
-      Array.init (full + 1) (fun _ ->
-          { live = false; g_sum = 0.; l_min = 0; members = Nil })
-    in
+    let st = make_states (full + 1) in
+    (* Visit subsets containing [term] from larger to smaller so that
+       P \ {term} still holds its value at the previous location. *)
+    let order = Pj_util.Subset.by_decreasing_size n in
     let key = w.Scoring.win_key in
     let best_key = ref neg_infinity in
     let best_g = ref 0. in
@@ -48,47 +65,41 @@ let best (w : Scoring.win) (p : Match_list.problem) =
     let process ~term m =
       let g = w.Scoring.win_g term m.Match0.score in
       let l = m.Match0.loc in
-      (* Visit subsets containing [term] from larger to smaller so that
-         P \ {term} still holds its value at the previous location. *)
-      Pj_util.Subset.iter_by_decreasing_size n (fun s ->
-          if Pj_util.Subset.mem term s then begin
-            let st = states.(s) in
-            if Pj_util.Subset.equal s (Pj_util.Subset.singleton term) then begin
-              (* Best single-term matchset at l: either keep the previous
-                 best (aged to l) or restart at m with window 0. *)
-              if (not st.live) || key st.g_sum (l - st.l_min) < key g 0 then begin
-                st.live <- true;
-                st.g_sum <- g;
-                st.l_min <- l;
-                st.members <- Cons (term, m, Nil)
-              end
+      let single = Pj_util.Subset.singleton term in
+      for i = 0 to Array.length order - 1 do
+        let s = order.(i) in
+        if Pj_util.Subset.mem term s then begin
+          if s = single then begin
+            (* Best single-term matchset at l: either keep the previous
+               best (aged to l) or restart at m with window 0. *)
+            if
+              (not st.live.(s))
+              || key st.g_sum.(s) (l - st.l_min.(s)) < key g 0
+            then set st s g l (Cons (term, m, Nil))
+          end
+          else begin
+            let sub = Pj_util.Subset.remove term s in
+            if st.live.(sub) then begin
+              let cand_g = st.g_sum.(sub) +. g in
+              let cand_lmin = st.l_min.(sub) in
+              if
+                (not st.live.(s))
+                || key st.g_sum.(s) (l - st.l_min.(s))
+                   < key cand_g (l - cand_lmin)
+              then
+                set st s cand_g cand_lmin (Cons (term, m, st.members.(sub)))
             end
-            else begin
-              let sub = states.(Pj_util.Subset.remove term s) in
-              if sub.live then begin
-                let cand_g = sub.g_sum +. g in
-                let cand_lmin = sub.l_min in
-                if
-                  (not st.live)
-                  || key st.g_sum (l - st.l_min) < key cand_g (l - cand_lmin)
-                then begin
-                  st.live <- true;
-                  st.g_sum <- cand_g;
-                  st.l_min <- cand_lmin;
-                  st.members <- Cons (term, m, sub.members)
-                end
-              end
-            end
-          end);
-      let q = states.(full) in
-      if q.live then begin
-        let k = key q.g_sum (l - q.l_min) in
+          end
+        end
+      done;
+      if st.live.(full) then begin
+        let k = key st.g_sum.(full) (l - st.l_min.(full)) in
         if (not !have_best) || k > !best_key then begin
           have_best := true;
           best_key := k;
-          best_g := q.g_sum;
-          best_window := l - q.l_min;
-          best_chain := q.members
+          best_g := st.g_sum.(full);
+          best_window := l - st.l_min.(full);
+          best_chain := st.members.(full)
         end
       end
     in
@@ -116,14 +127,7 @@ let best_valid (w : Scoring.win) (p : Match_list.problem) =
   else begin
     let n = Array.length p in
     let full = Pj_util.Subset.full n in
-    let states =
-      Array.init (full + 1) (fun _ ->
-          { live = false; g_sum = 0.; l_min = 0; members = Nil })
-    in
-    let snapshot =
-      Array.init (full + 1) (fun _ ->
-          { live = false; g_sum = 0.; l_min = 0; members = Nil })
-    in
+    let st = make_states (full + 1) and sn = make_states (full + 1) in
     let key = w.Scoring.win_key in
     let best_key = ref neg_infinity in
     let best_g = ref 0. in
@@ -138,13 +142,10 @@ let best_valid (w : Scoring.win) (p : Match_list.problem) =
       | [] -> ()
       | members ->
           let l = !group_loc in
-          for s = 0 to full do
-            let st = states.(s) and sn = snapshot.(s) in
-            sn.live <- st.live;
-            sn.g_sum <- st.g_sum;
-            sn.l_min <- st.l_min;
-            sn.members <- st.members
-          done;
+          Array.blit st.live 0 sn.live 0 (full + 1);
+          Array.blit st.g_sum 0 sn.g_sum 0 (full + 1);
+          Array.blit st.l_min 0 sn.l_min 0 (full + 1);
+          Array.blit st.members 0 sn.members 0 (full + 1);
           (* Extensions read the snapshot (pre-group states), so no two
              co-located matches can enter the same partial matchset. *)
           List.iter
@@ -152,38 +153,31 @@ let best_valid (w : Scoring.win) (p : Match_list.problem) =
               let g = w.Scoring.win_g term m.Match0.score in
               Pj_util.Subset.iter_nonempty n (fun s ->
                   if Pj_util.Subset.mem term s then begin
-                    let st = states.(s) in
                     let consider cand_g cand_lmin cand_members =
                       if
-                        (not st.live)
-                        || key st.g_sum (l - st.l_min)
+                        (not st.live.(s))
+                        || key st.g_sum.(s) (l - st.l_min.(s))
                            < key cand_g (l - cand_lmin)
-                      then begin
-                        st.live <- true;
-                        st.g_sum <- cand_g;
-                        st.l_min <- cand_lmin;
-                        st.members <- cand_members
-                      end
+                      then set st s cand_g cand_lmin cand_members
                     in
                     if Pj_util.Subset.equal s (Pj_util.Subset.singleton term)
                     then consider g l (Cons (term, m, Nil))
                     else begin
-                      let sub = snapshot.(Pj_util.Subset.remove term s) in
-                      if sub.live then
-                        consider (sub.g_sum +. g) sub.l_min
-                          (Cons (term, m, sub.members))
+                      let sub = Pj_util.Subset.remove term s in
+                      if sn.live.(sub) then
+                        consider (sn.g_sum.(sub) +. g) sn.l_min.(sub)
+                          (Cons (term, m, sn.members.(sub)))
                     end
                   end))
             members;
-          let q = states.(full) in
-          if q.live then begin
-            let k = key q.g_sum (l - q.l_min) in
+          if st.live.(full) then begin
+            let k = key st.g_sum.(full) (l - st.l_min.(full)) in
             if (not !have_best) || k > !best_key then begin
               have_best := true;
               best_key := k;
-              best_g := q.g_sum;
-              best_window := l - q.l_min;
-              best_chain := q.members
+              best_g := st.g_sum.(full);
+              best_window := l - st.l_min.(full);
+              best_chain := st.members.(full)
             end
           end;
           group := []
@@ -234,11 +228,8 @@ let best_ordered (w : Scoring.win) (p : Match_list.problem) =
   if Match_list.has_empty_list p then None
   else begin
     let n = Array.length p in
-    (* states.(k): best ordered matchset over terms 0..k. *)
-    let states =
-      Array.init n (fun _ ->
-          { live = false; g_sum = 0.; l_min = 0; members = Nil })
-    in
+    (* State k: best ordered matchset over terms 0..k. *)
+    let st = make_states n in
     let key = w.Scoring.win_key in
     let best_key = ref neg_infinity in
     let best_g = ref 0. in
@@ -248,39 +239,31 @@ let best_ordered (w : Scoring.win) (p : Match_list.problem) =
     let process ~term m =
       let g = w.Scoring.win_g term m.Match0.score in
       let l = m.Match0.loc in
-      let st = states.(term) in
       if term = 0 then begin
-        if (not st.live) || key st.g_sum (l - st.l_min) < key g 0 then begin
-          st.live <- true;
-          st.g_sum <- g;
-          st.l_min <- l;
-          st.members <- Cons (term, m, Nil)
-        end
+        if (not st.live.(0)) || key st.g_sum.(0) (l - st.l_min.(0)) < key g 0
+        then set st 0 g l (Cons (term, m, Nil))
       end
       else begin
-        let sub = states.(term - 1) in
-        if sub.live then begin
-          let cand_g = sub.g_sum +. g in
+        let sub = term - 1 in
+        if st.live.(sub) then begin
+          let cand_g = st.g_sum.(sub) +. g in
           if
-            (not st.live)
-            || key st.g_sum (l - st.l_min) < key cand_g (l - sub.l_min)
-          then begin
-            st.live <- true;
-            st.g_sum <- cand_g;
-            st.l_min <- sub.l_min;
-            st.members <- Cons (term, m, sub.members)
-          end
+            (not st.live.(term))
+            || key st.g_sum.(term) (l - st.l_min.(term))
+               < key cand_g (l - st.l_min.(sub))
+          then
+            set st term cand_g st.l_min.(sub) (Cons (term, m, st.members.(sub)))
         end
       end;
-      let q = states.(n - 1) in
-      if q.live then begin
-        let k = key q.g_sum (l - q.l_min) in
+      let q = n - 1 in
+      if st.live.(q) then begin
+        let k = key st.g_sum.(q) (l - st.l_min.(q)) in
         if (not !have_best) || k > !best_key then begin
           have_best := true;
           best_key := k;
-          best_g := q.g_sum;
-          best_window := l - q.l_min;
-          best_chain := q.members
+          best_g := st.g_sum.(q);
+          best_window := l - st.l_min.(q);
+          best_chain := st.members.(q)
         end
       end
     in

@@ -144,6 +144,152 @@ let candidates t q =
           Pj_util.Vec.push out doc);
       Pj_util.Vec.to_array out)
 
+(* --- duplicate-free feasibility over form tokens ------------------------ *)
+
+(* With dedup on, a candidate scores only if every term can be given its
+   own token occurrence. Here the resources are the query's distinct
+   form tokens: term [j] may use the tokens of its forms, and a token's
+   capacity in the candidate is its term frequency there. Positions of
+   distinct tokens never coincide, so this is exactly the location test
+   of [Pj_core.Feasibility.problem] on the match lists the candidate
+   would build — answered before building them. When no token serves
+   two terms, every aligned candidate passes and the test is skipped. *)
+type tokens = {
+  adj : int array array;  (* term -> form -> resource *)
+  deg : int array;  (* term -> number of forms *)
+  cap : int array;  (* resource -> term frequency in the candidate *)
+  shared : bool;  (* does some token serve two terms? *)
+  ws : Pj_core.Feasibility.t;
+}
+
+let tokens terms =
+  let ids : (int, int * int) Hashtbl.t = Hashtbl.create 16 in
+  let shared = ref false in
+  let adj =
+    Array.mapi
+      (fun j tc ->
+        Array.map
+          (fun tok ->
+            match Hashtbl.find_opt ids tok with
+            | Some (r, owner) ->
+                if owner <> j then shared := true;
+                r
+            | None ->
+                let r = Hashtbl.length ids in
+                Hashtbl.add ids tok (r, j);
+                r)
+          tc.payloads)
+      terms
+  in
+  {
+    adj;
+    deg = Array.map Array.length adj;
+    cap = Array.make (Hashtbl.length ids) 0;
+    shared = !shared;
+    ws = Pj_core.Feasibility.create ();
+  }
+
+(* Every cursor of every term must sit at or past [doc_id]. *)
+let tokens_assignable tk terms doc_id =
+  Array.fill tk.cap 0 (Array.length tk.cap) 0;
+  for j = 0 to Array.length terms - 1 do
+    let forms = terms.(j).forms and res = tk.adj.(j) in
+    for i = 0 to Array.length forms - 1 do
+      let c = forms.(i) in
+      if Pj_index.Posting_list.current_doc c = doc_id then
+        tk.cap.(res.(i)) <- Pj_index.Posting_list.current_tf c
+    done
+  done;
+  Pj_core.Feasibility.assignable tk.ws ~adj:tk.adj ~deg:tk.deg ~cap:tk.cap
+    ~resources:(Array.length tk.cap) ~terms:(Array.length terms)
+
+(* --- match lists off the cursors ---------------------------------------- *)
+
+(* Per-query scratch for building a candidate's match lists: the
+   positions of the forms present are decoded into one reused buffer,
+   one sorted run per form, and merged into the term's list. Each form
+   has a prototype match carrying its score and token, so a match is
+   one small record copy. *)
+type builder = {
+  protos : Pj_core.Match0.t array array;  (* term -> form -> prototype *)
+  mutable buf : int array;
+  run_form : int array;  (* run -> form index *)
+  run_at : int array;  (* run -> next unread buffer index *)
+  run_end : int array;  (* run -> end of its buffer slice *)
+}
+
+let builder terms =
+  let max_forms =
+    Array.fold_left (fun m tc -> Stdlib.max m (Array.length tc.forms)) 0 terms
+  in
+  {
+    protos =
+      Array.map
+        (fun tc ->
+          Array.mapi
+            (fun i score ->
+              Pj_core.Match0.make ~payload:tc.payloads.(i) ~loc:0 ~score ())
+            tc.scores)
+        terms;
+    buf = Array.make 64 0;
+    run_form = Array.make max_forms 0;
+    run_at = Array.make max_forms 0;
+    run_end = Array.make max_forms 0;
+  }
+
+(* The match list of [tc] (term [j]) at [doc_id], sorted by location
+   with one match per location — the best-scoring one, should two
+   forms ever share a position. *)
+let build_list b j tc doc_id =
+  let protos = b.protos.(j) and runs = ref 0 and total = ref 0 in
+  for i = 0 to Array.length tc.forms - 1 do
+    let c = tc.forms.(i) in
+    if Pj_index.Posting_list.current_doc c = doc_id then begin
+      let tf = Pj_index.Posting_list.current_tf c in
+      if !total + tf > Array.length b.buf then begin
+        let grown = Array.make (2 * (!total + tf)) 0 in
+        Array.blit b.buf 0 grown 0 !total;
+        b.buf <- grown
+      end;
+      Pj_index.Posting_list.positions_into c b.buf !total;
+      b.run_form.(!runs) <- i;
+      b.run_at.(!runs) <- !total;
+      total := !total + tf;
+      b.run_end.(!runs) <- !total;
+      incr runs
+    end
+  done;
+  if !runs = 0 then [||]
+  else begin
+    let out = Array.make !total protos.(b.run_form.(0)) and n = ref 0 in
+    for _ = 1 to !total do
+      (* The run with the smallest head; the best score among heads at
+         one location. *)
+      let best = ref (-1) in
+      for r = 0 to !runs - 1 do
+        if b.run_at.(r) < b.run_end.(r) then
+          if !best < 0 then best := r
+          else begin
+            let loc = b.buf.(b.run_at.(r))
+            and best_loc = b.buf.(b.run_at.(!best)) in
+            if
+              loc < best_loc
+              || loc = best_loc
+                 && tc.scores.(b.run_form.(r)) > tc.scores.(b.run_form.(!best))
+            then best := r
+          end
+      done;
+      let r = !best in
+      let loc = b.buf.(b.run_at.(r)) in
+      b.run_at.(r) <- b.run_at.(r) + 1;
+      if !n = 0 || out.(!n - 1).Pj_core.Match0.loc <> loc then begin
+        out.(!n) <- { (protos.(b.run_form.(r))) with Pj_core.Match0.loc };
+        incr n
+      end
+    done;
+    if !n = !total then out else Array.sub out 0 !n
+  end
+
 exception Expired
 exception Early_stop
 
@@ -214,6 +360,28 @@ let search_impl ?deadline ?threshold ?accept ?(blockmax = true) ~k ~dedup
            hand, with no per-form re-seek through the index (which on a
            mmap-backed index would decode blocks from scratch for every
            solved candidate). *)
+        (* Built on the first solved candidate: a query that solves
+           none (most rare ones) never pays for it. *)
+        let scratch = lazy (tokens terms, builder terms) in
+        (* Reused across candidates: nothing downstream keeps it. *)
+        let problem = Array.make (Array.length terms) [||] in
+        let offer hit =
+          if Pj_util.Heap.length heap < k then begin
+            Pj_util.Heap.push heap hit;
+            publish ()
+          end
+          else begin
+            match Pj_util.Heap.peek heap with
+            | Some weakest
+              when hit.score > weakest.score
+                   || (hit.score = weakest.score
+                      && hit.doc_id < weakest.doc_id) ->
+                ignore (Pj_util.Heap.pop heap);
+                Pj_util.Heap.push heap hit;
+                publish ()
+            | Some _ | None -> ()
+          end
+        in
         let solve doc_id =
           (* Under block-max traversal, non-essential form cursors are
              not driven by the alignment; drag them up to the candidate
@@ -221,53 +389,24 @@ let search_impl ?deadline ?threshold ?accept ?(blockmax = true) ~k ~dedup
              or past [doc_id] makes this a no-op. *)
           if blockmax then
             Array.iter (fun tc -> term_seek tc doc_id) terms;
-          let problem =
-            Array.map
-              (fun tc ->
-                let matches = Pj_util.Vec.create () in
-                Array.iteri
-                  (fun i c ->
-                    if Pj_index.Posting_list.current_doc c = doc_id then
-                      match Pj_index.Posting_list.current c with
-                      | None -> ()
-                      | Some p ->
-                          let score = tc.scores.(i)
-                          and payload = tc.payloads.(i) in
-                          Array.iter
-                            (fun loc ->
-                              Pj_util.Vec.push matches
-                                (Pj_core.Match0.make ~payload ~loc ~score ()))
-                            p.Pj_index.Posting.positions)
-                  tc.forms;
-                Pj_matching.Match_builder.of_form_matches
-                  (Pj_util.Vec.to_array matches))
-              terms
-          in
-          match Pj_core.Best_join.solve ~dedup scoring problem with
-          | None -> ()
-          | Some r ->
-              let hit =
-                {
-                  doc_id;
-                  score = r.Pj_core.Naive.score;
-                  matchset = r.Pj_core.Naive.matchset;
-                }
-              in
-              if Pj_util.Heap.length heap < k then begin
-                Pj_util.Heap.push heap hit;
-                publish ()
-              end
-              else begin
-                match Pj_util.Heap.peek heap with
-                | Some weakest
-                  when hit.score > weakest.score
-                       || (hit.score = weakest.score
-                          && hit.doc_id < weakest.doc_id) ->
-                    ignore (Pj_util.Heap.pop heap);
-                    Pj_util.Heap.push heap hit;
-                    publish ()
-                | Some _ | None -> ()
-              end
+          let tk, b = Lazy.force scratch in
+          (* A candidate without a duplicate-free matchset would solve
+             to [None]: skip it before building anything. *)
+          if (not (dedup && tk.shared)) || tokens_assignable tk terms doc_id
+          then begin
+            for j = 0 to Array.length terms - 1 do
+              problem.(j) <- build_list b j terms.(j) doc_id
+            done;
+            match Pj_core.Best_join.solve ~dedup scoring problem with
+            | None -> ()
+            | Some r ->
+                offer
+                  {
+                    doc_id;
+                    score = r.Pj_core.Naive.score;
+                    matchset = r.Pj_core.Naive.matchset;
+                  }
+          end
         in
         (* The cross-shard prunes are *strict*: the shared threshold
            comes from hits whose doc ids may be smaller than this

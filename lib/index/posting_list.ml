@@ -200,6 +200,8 @@ type mem_cursor = {
 type custom = {
   cu_current : unit -> Posting.t option;
   cu_current_doc : unit -> int;
+  cu_current_tf : unit -> int;
+  cu_positions_into : int array -> int -> unit;
   cu_next : unit -> unit;
   cu_seek : int -> unit;
   cu_block_max_score : unit -> float;
@@ -226,11 +228,14 @@ let cursor_prefix a ~len =
     invalid_arg "Posting_list.cursor_prefix: len out of range";
   Mem { list = a; hi = len; pos = 0; sidecar = None; cb = -1; cb_qmax = 0. }
 
-let custom ~current ~current_doc ~next ~seek ~block_max_score ~block_last_doc =
+let custom ~current ~current_doc ~current_tf ~positions_into ~next ~seek
+    ~block_max_score ~block_last_doc =
   Custom
     {
       cu_current = current;
       cu_current_doc = current_doc;
+      cu_current_tf = current_tf;
+      cu_positions_into = positions_into;
       cu_next = next;
       cu_seek = seek;
       cu_block_max_score = block_max_score;
@@ -276,6 +281,20 @@ let current = function Mem c -> mem_current c | Custom c -> c.cu_current ()
 let current_doc = function
   | Mem c -> mem_current_doc c
   | Custom c -> c.cu_current_doc ()
+
+let current_tf = function
+  | Mem c ->
+      if c.pos >= c.hi then 0 else Array.length c.list.(c.pos).Posting.positions
+  | Custom c -> c.cu_current_tf ()
+
+let positions_into c buf off =
+  match c with
+  | Mem c ->
+      if c.pos < c.hi then begin
+        let p = c.list.(c.pos).Posting.positions in
+        Array.blit p 0 buf off (Array.length p)
+      end
+  | Custom c -> c.cu_positions_into buf off
 
 let next = function Mem c -> mem_next c | Custom c -> c.cu_next ()
 

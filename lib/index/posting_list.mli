@@ -86,6 +86,8 @@ val cursor_prefix : Posting.t array -> len:int -> cursor
 val custom :
   current:(unit -> Posting.t option) ->
   current_doc:(unit -> int) ->
+  current_tf:(unit -> int) ->
+  positions_into:(int array -> int -> unit) ->
   next:(unit -> unit) ->
   seek:(int -> unit) ->
   block_max_score:(unit -> float) ->
@@ -105,6 +107,16 @@ val current_doc : cursor -> int
 (** Document id under the cursor, or [-1] once exhausted — the
     allocation-free fast path of [current] for the intersection loop
     (document ids are non-negative). *)
+
+val current_tf : cursor -> int
+(** Term frequency of the posting under the cursor (the length of its
+    positions), or [0] once exhausted — without building the posting. *)
+
+val positions_into : cursor -> int array -> int -> unit
+(** [positions_into c buf off] writes the increasing positions of the
+    posting under the cursor into [buf] from index [off] on; [buf] must
+    have room for {!current_tf} of them. No-op once exhausted. The
+    allocation-free path of [(current c).positions]. *)
 
 val next : cursor -> unit
 (** Advance by one posting; no-op once exhausted. *)

@@ -27,26 +27,30 @@ let scan vocab (doc : Pj_text.Document.t) (q : Query.t) =
     doc.Pj_text.Document.tokens;
   Array.map Pj_util.Vec.to_array lists
 
+(* One term's list from per-form matches collected in arbitrary order:
+   one sort by location (best score first within a location), then keep
+   the first match per location, in place. Several forms can share a
+   location only if two distinct lexicon forms intern to the same
+   token, which the vocabulary forbids; the dedup is defensive. The
+   result is sorted with distinct locations, so it is a valid list as
+   it stands. *)
 let of_form_matches arr =
-  (* Several expansion forms can share a location only if two distinct
-     lexicon forms intern to the same token, which the vocabulary
-     forbids; still, sort defensively and keep one match per location
-     (the best-scoring). *)
   Array.sort
     (fun a b ->
       let c = compare a.Pj_core.Match0.loc b.Pj_core.Match0.loc in
       if c <> 0 then c
       else compare b.Pj_core.Match0.score a.Pj_core.Match0.score)
     arr;
-  let out = Pj_util.Vec.create () in
+  let n = ref 0 in
   Array.iter
     (fun m ->
-      if
-        Pj_util.Vec.is_empty out
-        || (Pj_util.Vec.last out).Pj_core.Match0.loc <> m.Pj_core.Match0.loc
-      then Pj_util.Vec.push out m)
+      if !n = 0 || arr.(!n - 1).Pj_core.Match0.loc <> m.Pj_core.Match0.loc
+      then begin
+        arr.(!n) <- m;
+        incr n
+      end)
     arr;
-  Pj_core.Match_list.of_unsorted (Pj_util.Vec.to_array out)
+  if !n = Array.length arr then arr else Array.sub arr 0 !n
 
 let from_index idx ~doc_id (q : Query.t) =
   let vocab = Pj_index.Corpus.vocab (Pj_index.Inverted_index.corpus idx) in

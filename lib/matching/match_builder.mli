@@ -20,15 +20,6 @@ val scan :
   Pj_core.Match_list.problem
 (** One match list per query term, sorted by location. *)
 
-val of_form_matches : Pj_core.Match0.t array -> Pj_core.Match_list.t
-(** Finalize one term's match list from per-expansion-form matches
-    collected in arbitrary order: sort by location (best score first
-    within a location), keep one match per location, build the list.
-    Shared by [from_index] and by consumers that harvest positions
-    straight off posting-list cursors (the DAAT searcher, which at
-    candidate time already holds every form cursor positioned on the
-    document). *)
-
 val from_index :
   Pj_index.Inverted_index.t ->
   doc_id:int ->

@@ -144,18 +144,25 @@ let state_next c =
   if c.doc >= 0 then
     if c.remaining > 0 then read_posting c else enter_block c (c.block + 1)
 
-let state_positions c =
+(* Delta-decode the current positions run into [buf] from [off] on. *)
+let state_positions_into c buf off =
   let pos = ref c.pos_off in
   let prev = ref (-1) in
-  Array.init c.tf (fun _ ->
-      let p = !prev + Layout.read_varint c.r.buf ~pos in
-      prev := p;
-      p)
+  for i = off to off + c.tf - 1 do
+    let p = !prev + Layout.read_varint c.r.buf ~pos in
+    prev := p;
+    buf.(i) <- p
+  done
 
+(* Positions decode in increasing order, so the posting is built
+   directly rather than through [Posting.make]'s defensive sort. *)
 let state_current c =
   if c.doc < 0 then None
-  else
-    Some (Pj_index.Posting.make ~doc_id:c.doc ~positions:(state_positions c))
+  else begin
+    let positions = Array.make c.tf 0 in
+    state_positions_into c positions 0;
+    Some { Pj_index.Posting.doc_id = c.doc; positions }
+  end
 
 (* First block in [from, nb) whose last doc id reaches [target]:
    gallop to bracket it, then binary-search the bracket — O(log
@@ -206,6 +213,9 @@ let cursor r =
   Pj_index.Posting_list.custom
     ~current:(fun () -> state_current c)
     ~current_doc:(fun () -> c.doc)
+    ~current_tf:(fun () -> if c.doc < 0 then 0 else c.tf)
+    ~positions_into:(fun buf off ->
+      if c.doc >= 0 then state_positions_into c buf off)
     ~next:(fun () -> state_next c)
     ~seek:(fun target -> state_seek c target)
     ~block_max_score:(fun () -> state_block_max c)
@@ -260,6 +270,9 @@ let cursor_in_range r ~lo ~hi =
   Pj_index.Posting_list.custom
     ~current:(fun () -> if live () then state_current c else None)
     ~current_doc:(fun () -> if live () then c.doc else -1)
+    ~current_tf:(fun () -> if live () then c.tf else 0)
+    ~positions_into:(fun buf off ->
+      if live () then state_positions_into c buf off)
     ~next:(fun () -> if live () then state_next c)
     ~seek:(fun target -> if live () then state_seek c target)
     ~block_max_score:(fun () -> if live () then range_block_max () else 0.)
@@ -342,7 +355,7 @@ let check_blob r =
       if c.doc <= !prev then
         failwith "Ondisk: doc ids not strictly increasing in block";
       prev := c.doc;
-      ignore (state_positions c);
+      state_positions_into c (Array.make c.tf 0) 0;
       seen_max :=
         Stdlib.max !seen_max
           (quantize_up (Pj_index.Posting_list.impact ~tf:c.tf))

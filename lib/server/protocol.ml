@@ -106,11 +106,12 @@ let parse_request line =
              cmd)
 
 (* The key under which a search is cached: scoring parameters plus the
-   terms sorted, so queries differing only in term order share an
-   entry (every scoring family is symmetric in its terms). *)
+   terms in query order. Every scoring family is symmetric in its terms
+   on paper, but floating-point sums are not: two orders of one query
+   can score an ulp apart, so each order gets its own entry and every
+   cached answer is bit-identical to a fresh search. *)
 let cache_key { family; alpha; k; terms } =
-  Printf.sprintf "%s|%.17g|%d|%s" family alpha k
-    (String.concat "\x00" (List.sort compare terms))
+  Printf.sprintf "%s|%.17g|%d|%s" family alpha k (String.concat "\x00" terms)
 
 (* Error payloads come from arbitrary exception messages
    ([Printexc.to_string] in the ingest batcher and worker pool), so

@@ -59,8 +59,9 @@ val scoring_of :
     family name — the same mapping the CLI uses. *)
 
 val cache_key : search_request -> string
-(** Normalized cache key: scoring family, alpha, k, and the terms
-    sorted (term order does not affect scores). *)
+(** Cache key: scoring family, alpha, k, and the terms in query order.
+    Reordered terms get distinct keys, because scores can differ in
+    the last bit across term orders. *)
 
 val text_precision : int
 (** Significant digits of a score on the text wire (9): short enough

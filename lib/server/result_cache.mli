@@ -1,6 +1,6 @@
 (** Thread-safe LRU cache of rendered SEARCH responses.
 
-    Keys come from {!Protocol.cache_key} (normalized query + scoring
+    Keys come from {!Protocol.cache_key} (query terms in order + scoring
     parameters); values are complete response lines, so a hit is
     byte-identical to the response the solvers would have produced and
     costs one lock plus one hash lookup — no query parsing, no queue

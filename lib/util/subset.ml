@@ -39,9 +39,16 @@ let iter_nonempty n f =
     f s
   done
 
-let iter_by_decreasing_size n f =
+let by_decreasing_size n =
+  let order = Array.make (full n) 0 and k = ref 0 in
   for size = n downto 1 do
     for s = 1 to full n do
-      if cardinal s = size then f s
+      if cardinal s = size then begin
+        order.(!k) <- s;
+        incr k
+      end
     done
-  done
+  done;
+  order
+
+let iter_by_decreasing_size n f = Array.iter f (by_decreasing_size n)

@@ -28,6 +28,12 @@ val iter_nonempty : int -> (t -> unit) -> unit
 (** [iter_nonempty n f] applies [f] to every nonempty subset of [full n],
     in increasing bitmask order. *)
 
+val by_decreasing_size : int -> t array
+(** Every nonempty subset of [full n] in order of decreasing
+    cardinality, increasing bitmask order within one cardinality — the
+    order of {!iter_by_decreasing_size}, computed once so a caller
+    visiting it for every match pays the O(n 2^n) ordering only once. *)
+
 val iter_by_decreasing_size : int -> (t -> unit) -> unit
 (** Visit every nonempty subset of [full n] in order of decreasing
     cardinality (the processing order of Algorithm 1, which must update a

@@ -17,4 +17,5 @@ let () =
       ("top_k", Test_top_k.suite);
       ("win_topk", Test_win_topk.suite);
       ("best_join", Test_best_join.suite);
+      ("feasibility", Test_feasibility.suite);
     ]

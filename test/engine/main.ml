@@ -10,4 +10,5 @@ let () =
       ("daat_oracle", Test_daat_oracle.suite);
       ("blockmax_oracle", Test_blockmax_oracle.suite);
       ("snippet", Test_snippet.suite);
+      ("shared_form", Test_shared_form.suite);
     ]

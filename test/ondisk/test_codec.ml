@@ -177,6 +177,20 @@ let test_quantized_impact_bound () =
 
 (* --- cursor navigation ------------------------------------------------- *)
 
+(* [current_tf] and [positions_into] are the allocation-free views of
+   [current]: the same length and positions, written exactly into the
+   requested slice; 0 and nothing once exhausted or masked. *)
+let fast_path_agrees c =
+  let tf = Pj_index.Posting_list.current_tf c in
+  let buf = Array.make (tf + 2) (-7) in
+  Pj_index.Posting_list.positions_into c buf 1;
+  buf.(0) = -7
+  && buf.(tf + 1) = -7
+  &&
+  match Pj_index.Posting_list.current c with
+  | None -> tf = 0
+  | Some p -> Array.sub buf 1 tf = p.Pj_index.Posting.positions
+
 (* The codec cursor must agree with the in-memory array cursor under
    an arbitrary interleaving of next and (monotone) seek. *)
 let cursor_agrees =
@@ -196,13 +210,15 @@ let cursor_agrees =
              Pj_index.Posting_list.current_doc mem
              <> Pj_index.Posting_list.current_doc disk
            then ok := false;
-           match
+           (match
              ( Pj_index.Posting_list.current mem,
                Pj_index.Posting_list.current disk )
            with
            | None, None -> ()
            | Some a, Some b when posting_equal a b -> ()
-           | _ -> ok := false
+           | _ -> ok := false);
+           if not (fast_path_agrees mem && fast_path_agrees disk) then
+             ok := false
          in
          check_here ();
          List.iter
@@ -289,15 +305,20 @@ let range_cursor_agrees =
                   p.Pj_index.Posting.doc_id >= lo
                   && p.Pj_index.Posting.doc_id < hi)
          in
-         let got = ref [] in
+         let got = ref [] and fast_ok = ref true in
          while Pj_index.Posting_list.current_doc c >= 0 do
            (match Pj_index.Posting_list.current c with
            | Some p -> got := p :: !got
            | None -> ());
+           if not (fast_path_agrees c) then fast_ok := false;
            Pj_index.Posting_list.next c
          done;
          let got = List.rev !got in
-         List.length got = List.length expect
+         (* Past [hi] the state may still sit on a masked posting. *)
+         !fast_ok
+         && Pj_index.Posting_list.current_tf c = 0
+         && fast_path_agrees c
+         && List.length got = List.length expect
          && List.for_all2 posting_equal got expect))
 
 (* Admissibility of the range-restricted view's block bounds, the

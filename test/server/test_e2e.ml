@@ -169,6 +169,33 @@ let test_repeated_query_served_from_cache () =
           Alcotest.(check bool) "it is a real result" true
             (String.length first >= 6 && String.sub first 0 5 = "HITS ")))
 
+(* Scores may differ in the last bit between two orders of the same
+   terms, so a reordered query must not be answered from the other
+   order's cache entry: it is a miss, and its answer is a fresh search
+   in its own order. *)
+let test_reordered_terms_not_shared () =
+  with_server (fun server searcher graph ->
+      let conn = connect (Server.port server) in
+      Fun.protect
+        ~finally:(fun () -> close conn)
+        (fun () ->
+          let terms = [ "exact:lenovo"; "exact:nba"; "exact:partnership" ] in
+          let ask terms =
+            let _, misses0, _ = Result_cache.stats (Server.cache server) in
+            let response = request conn (search_line ("max", 0.1, 5, terms)) in
+            let _, misses1, _ = Result_cache.stats (Server.cache server) in
+            Alcotest.(check int) "a cache miss" (misses0 + 1) misses1;
+            Alcotest.(check string) "a fresh answer"
+              (expected_response searcher graph ~family:"max" ~alpha:0.1 ~k:5
+                 terms)
+              response
+          in
+          ask terms;
+          ask (List.rev terms);
+          ask [ "exact:nba"; "exact:lenovo"; "exact:partnership" ];
+          let _, _, len = Result_cache.stats (Server.cache server) in
+          Alcotest.(check int) "one entry per order" 3 len))
+
 let test_deadline_timeout () =
   (* A deadline already in the past forces every live search to expire
      before solving; the response must be TIMEOUT, not a hang or a
@@ -651,6 +678,7 @@ let suite =
   [
     ("e2e: concurrent clients = direct search", `Quick, test_concurrent_clients_match_direct);
     ("e2e: repeated query hits cache", `Quick, test_repeated_query_served_from_cache);
+    ("e2e: reordered terms get fresh answers", `Quick, test_reordered_terms_not_shared);
     ("e2e: deadline timeout", `Quick, test_deadline_timeout);
     ("e2e: malformed requests", `Quick, test_malformed_requests_keep_connection);
     ("e2e: stats", `Quick, test_stats_reports);
